@@ -12,6 +12,13 @@ ablations or threads ask.  Analyzers configured with a custom execution
 backend or with execution disabled get a private memo instead, so their
 verdicts never leak into the shared store.
 
+Only ``uses_requested_model`` and ``uses_other_model`` depend on the
+requested model.  A second memo keeps the rest of a verdict — the *base
+verdict* — by ``(code, language, kernel)``, shared exactly when the verdict
+memo is: the same text requested under another model reuses its static
+checks and its sandbox execution, and only those two fields are derived
+again from ``detected_models``.
+
 Two further layers sit at this seam:
 
 * A persistent :class:`~repro.analysis.store.VerdictStore` can be attached
@@ -40,19 +47,38 @@ from repro.analysis.store import VerdictStore
 from repro.analysis.verdict import SuggestionVerdict
 from repro.models.languages import Language, get_language
 from repro.models.programming_models import get_model
+from repro.sandbox.cuda_c.interpreter import clear_source_cache
 
 __all__ = ["SuggestionAnalyzer", "analyze_suggestion", "clear_verdict_memo"]
 
 #: Memo key: (code, language, kernel, requested model uid).
 VerdictKey = tuple[str, str, str, str]
 
+#: Key of the model-independent part of a verdict: (code, language, kernel).
+BaseKey = tuple[str, str, str]
+
 #: Process-wide verdict memo shared by every default-mode analyzer.
 _SHARED_VERDICT_MEMO: dict[VerdictKey, SuggestionVerdict] = {}
 
+#: Process-wide memo of base verdicts — everything but the two
+#: requested-model fields — shared exactly when the verdict memo is.
+_SHARED_BASE_MEMO: dict[BaseKey, SuggestionVerdict] = {}
+
 
 def clear_verdict_memo() -> None:
-    """Empty the shared verdict memo (test isolation helper)."""
+    """Empty every analysis cache of the process, so the next analysis is cold.
+
+    Clears the shared verdict memo, the shared base-verdict memo, the parsed
+    Python suggestions (:func:`repro.analysis.pythonlang.clear_parse_cache`),
+    the parsed and compiled CUDA-C sources
+    (:func:`repro.sandbox.cuda_c.interpreter.clear_source_cache`) and the
+    per-source hazard findings (:func:`repro.analysis.hazards.clear_findings_memo`).
+    """
     _SHARED_VERDICT_MEMO.clear()
+    _SHARED_BASE_MEMO.clear()
+    pythonlang.clear_parse_cache()
+    clear_source_cache()
+    hazards.clear_findings_memo()
 
 
 def _copy_verdict(verdict: SuggestionVerdict) -> SuggestionVerdict:
@@ -64,6 +90,15 @@ def _copy_verdict(verdict: SuggestionVerdict) -> SuggestionVerdict:
         issues=list(verdict.issues),
         static_findings=[dict(f) for f in verdict.static_findings],
     )
+
+
+def _for_model(base: SuggestionVerdict, requested_uid: str) -> SuggestionVerdict:
+    """A fresh full verdict from a base verdict and the requested model."""
+    verdict = _copy_verdict(base)
+    verdict.uses_requested_model = requested_uid in base.detected_models
+    verdict.uses_other_model = any(uid != requested_uid for uid in base.detected_models)
+    return verdict
+
 
 #: Signature of the pluggable Python execution backend:
 #: ``(code, kernel) -> (math_correct, issues)``.
@@ -129,6 +164,11 @@ class SuggestionAnalyzer:
     _cache: dict[VerdictKey, SuggestionVerdict] = field(
         default=None, repr=False  # type: ignore[assignment]
     )
+    #: Base verdicts by :data:`BaseKey`: the same text requested under
+    #: another model reuses the static checks and the sandbox execution.
+    _base_cache: dict[BaseKey, SuggestionVerdict] = field(
+        default=None, init=False, repr=False, compare=False  # type: ignore[assignment]
+    )
 
     def __post_init__(self) -> None:
         self.store = VerdictStore.coerce(self.store)
@@ -146,6 +186,7 @@ class SuggestionAnalyzer:
             if share is None:
                 share = self.execute_python and self.python_executor is None
             self._cache = _SHARED_VERDICT_MEMO if share else {}
+        self._base_cache = _SHARED_BASE_MEMO if self._cache is _SHARED_VERDICT_MEMO else {}
 
     def analyze(
         self,
@@ -205,21 +246,25 @@ class SuggestionAnalyzer:
             finished: dict[VerdictKey, SuggestionVerdict] = {}
             to_execute: list[tuple[VerdictKey, SuggestionVerdict]] = []
             for key in pending:
-                verdict, needs_execution = self._static_verdict(key, lang, requested_uid)
-                if needs_execution:
-                    to_execute.append((key, verdict))
-                else:
-                    finished[key] = verdict
+                base = self._base_cache.get(key[:3])
+                if base is None:
+                    base, needs_execution = self._static_verdict(key[:3], lang)
+                    if needs_execution:
+                        to_execute.append((key, base))
+                        continue
+                    self._base_cache[key[:3]] = base
+                finished[key] = _for_model(base, requested_uid)
             if to_execute:
-                for (key, verdict), (passed, exec_issues) in zip(
+                for (key, base), (passed, exec_issues) in zip(
                     to_execute, self._execute_pending(to_execute), strict=True
                 ):
                     issues = list(exec_issues)
                     if not passed and not issues:
                         issues.append("execution did not reproduce the oracle result")
-                    verdict.issues.extend(issues)
-                    verdict.math_correct = not issues
-                    finished[key] = verdict
+                    base.issues.extend(issues)
+                    base.math_correct = not issues
+                    self._base_cache[key[:3]] = base
+                    finished[key] = _for_model(base, requested_uid)
             for key, verdict in finished.items():
                 self._remember(key, verdict)
                 for position in pending[key]:
@@ -254,24 +299,21 @@ class SuggestionAnalyzer:
 
     # -- analysis -------------------------------------------------------------
     def _static_verdict(
-        self, key: VerdictKey, lang: Language, requested_uid: str
+        self, key: BaseKey, lang: Language
     ) -> tuple[SuggestionVerdict, bool]:
-        """The static part of the analysis.
+        """The static part of the base verdict (no requested-model fields).
 
         Returns ``(verdict, needs_execution)``: when ``needs_execution`` is
         False the verdict is complete; otherwise only the sandbox execution
         outcome (issues + ``math_correct``) is still missing.
         """
-        code, _, kernel, _ = key
+        code, _, kernel = key
         verdict = SuggestionVerdict(is_code=_looks_like_code(code, lang.comment_prefix))
         if not verdict.is_code:
             verdict.add_issue("suggestion contains no code")
             return verdict, False
 
-        detected = detect_models(code, lang.name)
-        verdict.detected_models = detected
-        verdict.uses_requested_model = requested_uid in detected
-        verdict.uses_other_model = any(uid != requested_uid for uid in detected)
+        verdict.detected_models = detect_models(code, lang.name)
 
         issues: list[str] = []
         if lang.name == "cpp":

@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import re
 
-from repro.sandbox.cuda_c.parser import CudaSyntaxError, parse_cuda_source
+from repro.sandbox.cuda_c.interpreter import kernel_definitions
+from repro.sandbox.cuda_c.parser import CudaSyntaxError
 from repro.sandbox.cuda_c.static import analyze_kernel
 
 __all__ = [
     "static_findings_for",
     "extract_cuda_sources",
+    "clear_findings_memo",
     "register_profile",
     "unregister_profile",
 ]
@@ -135,11 +137,25 @@ def register_profile(kernel: str, profile: dict) -> None:
     if existing is not None and existing != profile:
         raise ValueError(f"kernel {kernel!r} already has a different geometry profile")
     _PROFILES[kernel] = profile
+    _FINDINGS.clear()
 
 
 def unregister_profile(kernel: str) -> None:
     """Remove an extension profile (idempotent)."""
     _PROFILES.pop(kernel, None)
+    _FINDINGS.clear()
+
+
+#: Process-wide, pure: (CUDA source, kernel family, whether the family's
+#: profile applies) -> that source's findings.  The profile is fixed by the
+#: last two, so the memo is emptied whenever a profile is (un)registered,
+#: and by :func:`clear_findings_memo`.
+_FINDINGS: dict[tuple[str, str, bool], tuple[dict, ...]] = {}
+
+
+def clear_findings_memo() -> None:
+    """Forget every memoized per-source finding list."""
+    _FINDINGS.clear()
 
 
 def extract_cuda_sources(code: str) -> list[str]:
@@ -186,18 +202,31 @@ def static_findings_for(code: str, language: str, kernel: str) -> list[dict]:
         return []
     if "RawKernel" not in code and "SourceModule" not in code:
         return []
-    findings: list[dict] = []
     profile = _profile_for(kernel, code)
-    for source in extract_cuda_sources(code):
+    return [
+        dict(finding)
+        for source in extract_cuda_sources(code)
+        for finding in _source_findings(source, kernel, profile)
+    ]
+
+
+def _source_findings(source: str, kernel: str, profile: dict) -> tuple[dict, ...]:
+    """Findings of every kernel in one CUDA source (memoized; never mutate)."""
+    key = (source, kernel, bool(profile))
+    findings = _FINDINGS.get(key)
+    if findings is not None:
+        return findings
+    try:
+        definitions = kernel_definitions(source)
+    except CudaSyntaxError:
+        definitions = {}
+    collected: list[dict] = []
+    for name, definition in definitions.items():
         try:
-            definitions = parse_cuda_source(source)
-        except CudaSyntaxError:
+            report = analyze_kernel(definition, **profile)
+        except Exception:  # pragma: no cover - analyzer bug containment
             continue
-        for name, definition in definitions.items():
-            try:
-                report = analyze_kernel(definition, **profile)
-            except Exception:  # pragma: no cover - analyzer bug containment
-                continue
-            for finding in report.findings:
-                findings.append({"kernel": name, **finding.to_payload()})
+        for finding in report.findings:
+            collected.append({"kernel": name, **finding.to_payload()})
+    findings = _FINDINGS[key] = tuple(collected)
     return findings

@@ -33,6 +33,7 @@ import contextvars
 import math
 import os
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Iterator, Mapping
 
 import numpy as np
@@ -40,7 +41,7 @@ import numpy as np
 from repro.sandbox.cuda_c import ast_nodes as ast
 from repro.sandbox.cuda_c import lockstep as _lockstep
 from repro.sandbox.cuda_c import static as _static
-from repro.sandbox.cuda_c.parser import parse_cuda_source
+from repro.sandbox.cuda_c.parser import CudaSyntaxError, parse_cuda_source
 
 __all__ = [
     "Dim3",
@@ -49,51 +50,89 @@ __all__ = [
     "CudaRuntimeError",
     "shared_parse_scope",
     "execution_mode",
+    "clear_source_cache",
+    "compiled_kernels",
+    "kernel_definitions",
 ]
 
-#: Active source -> parsed-kernels map of a :func:`shared_parse_scope`, or
-#: ``None`` outside any scope (every CudaModule then parses its own source).
-#: Context-local, so concurrent sandbox contexts under the thread backend
-#: each see their own scope and cannot corrupt each other's restore.
-_PARSE_SCOPE: contextvars.ContextVar[dict[str, dict[str, "CudaKernel"]] | None] = (
-    contextvars.ContextVar("cuda_parse_scope", default=None)
-)
+#: Process-wide, pure: CUDA-C source -> its parsed kernel definitions, or the
+#: ``CudaSyntaxError`` arguments for a source the parser rejects.  Shared by
+#: :class:`CudaModule` and the static hazard layer; emptied by
+#: :func:`clear_source_cache`.
+_DEFINITIONS: dict[str, Mapping[str, ast.KernelDef] | tuple] = {}
 
-#: Active launch memo of the scope: (kernel, grid, block, argument
-#: fingerprint) -> post-launch buffer states.  ``None`` outside any scope.
+#: Process-wide, pure: CUDA-C source -> its launchable kernels (each compiled
+#: for the lockstep engine once).  :class:`CudaKernel` keeps no launch state,
+#: so every module built from the same source shares them.
+_KERNELS: dict[str, Mapping[str, "CudaKernel"]] = {}
+
+#: Active launch memo of a :func:`shared_parse_scope`: (kernel, grid, block,
+#: argument fingerprint) -> post-launch buffer states.  ``None`` outside any
+#: scope.  Context-local, so concurrent sandbox contexts under the thread
+#: backend each see their own scope and cannot corrupt each other's restore.
 _LAUNCH_SCOPE: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "cuda_launch_scope", default=None
 )
 
 
+def clear_source_cache() -> None:
+    """Forget every cached parse and compiled kernel (the next use re-parses)."""
+    _DEFINITIONS.clear()
+    _KERNELS.clear()
+
+
+def kernel_definitions(source: str) -> Mapping[str, ast.KernelDef]:
+    """The kernel definitions of ``source``, parsed once per process.
+
+    Raises :class:`CudaSyntaxError` for a source outside the subset (again
+    on every call, without re-parsing).
+    """
+    parsed = _DEFINITIONS.get(source)
+    if parsed is None:
+        try:
+            parsed = MappingProxyType(parse_cuda_source(source))
+        except CudaSyntaxError as exc:
+            parsed = exc.args
+        _DEFINITIONS[source] = parsed
+    if isinstance(parsed, tuple):
+        raise CudaSyntaxError(*parsed)
+    return parsed
+
+
+def compiled_kernels(source: str) -> Mapping[str, "CudaKernel"]:
+    """The launchable kernels of ``source``, built once per process."""
+    kernels = _KERNELS.get(source)
+    if kernels is None:
+        definitions = kernel_definitions(source)
+        kernels = _KERNELS[source] = MappingProxyType(
+            {name: CudaKernel(definition) for name, definition in definitions.items()}
+        )
+    return kernels
+
+
 @contextlib.contextmanager
 def shared_parse_scope() -> Iterator[None]:
-    """Reuse parse and launch work for identical CUDA kernels within the scope.
+    """Replay identical CUDA launches within the scope.
 
     The batched executor opens one scope per suggestion batch (the
     single-suggestion path runs without a scope and pays no fingerprinting
     overhead).  Near-duplicate suggestions in a batch frequently embed
-    byte-identical ``RawKernel`` / ``SourceModule`` sources, so within one
-    scope:
-
-    * identical sources are parsed once (sharing is safe because parsing is
-      pure and :class:`CudaKernel` keeps no launch state), and
-    * identical *launches* — same kernel, same grid/block, byte-identical
-      arguments — are interpreted once and replayed from the recorded
-      post-launch buffer states (the interpreter is deterministic and a
-      launch's only effect is mutating its array arguments).
+    byte-identical ``RawKernel`` / ``SourceModule`` sources, which share one
+    :class:`CudaKernel` through the process-wide source cache; within one
+    scope, identical *launches* — same kernel, same grid/block,
+    byte-identical arguments — are interpreted once and replayed from the
+    recorded post-launch buffer states (the interpreter is deterministic and
+    a launch's only effect is mutating its array arguments).
 
     Scopes nest (the inner scope wins) and always restore the previous
     scope on exit; the state is context-local, so concurrent scopes on
     different threads are independent.
     """
-    parse_token = _PARSE_SCOPE.set({})
-    launch_token = _LAUNCH_SCOPE.set({})
+    token = _LAUNCH_SCOPE.set({})
     try:
         yield
     finally:
-        _PARSE_SCOPE.reset(parse_token)
-        _LAUNCH_SCOPE.reset(launch_token)
+        _LAUNCH_SCOPE.reset(token)
 
 
 #: Active execution mode: "auto" (lockstep where compiled, scalar otherwise)
@@ -262,10 +301,11 @@ class CudaKernel:
     def _launch_key(self, grid3: "Dim3", block3: "Dim3", bound: dict) -> tuple | None:
         """Hashable fingerprint of a launch, or None when not memoizable.
 
-        Keyed on the kernel *object* (within a parse scope identical sources
-        share one :class:`CudaKernel`, so identity equals source identity),
-        the launch geometry and the byte-exact argument values.  Failed
-        launches are never recorded, so an error always re-executes.
+        Keyed on the kernel *object* (identical sources share one
+        :class:`CudaKernel` through the source cache, so identity equals
+        source identity), the launch geometry and the byte-exact argument
+        values.  Failed launches are never recorded, so an error always
+        re-executes.
         Launches whose array arguments alias each other are not memoized:
         equal bytes cannot distinguish aliased from merely-equal buffers,
         and aliasing changes what the interpreted kernel computes.
@@ -614,13 +654,7 @@ class CudaModule:
 
     def __init__(self, source: str):
         self.source = source
-        scope = _PARSE_SCOPE.get()
-        if scope is not None and source in scope:
-            self.kernels = scope[source]
-            return
-        self.kernels = {name: CudaKernel(defn) for name, defn in parse_cuda_source(source).items()}
-        if scope is not None:
-            scope[source] = self.kernels
+        self.kernels = compiled_kernels(source)
 
     def get_kernel(self, name: str) -> CudaKernel:
         if name not in self.kernels:

@@ -294,9 +294,18 @@ class EvaluationServer:
         await self.wait_closed()
 
     def request_stop(self) -> None:
-        """Thread-safe hard stop (the test suite's ``kill -9`` stand-in)."""
-        if self.loop is not None and self._stopped is not None:
-            self.loop.call_soon_threadsafe(self._stopped.set)
+        """Thread-safe hard stop (the test suite's ``kill -9`` stand-in).
+
+        A no-op once the serve loop has exited and its event loop closed
+        (e.g. after a graceful ``shutdown``).
+        """
+        loop = self.loop
+        if loop is None or self._stopped is None or loop.is_closed():
+            return
+        # The loop may close between the check and the call: the server
+        # has then already stopped, which is what was asked.
+        with contextlib.suppress(RuntimeError):
+            loop.call_soon_threadsafe(self._stopped.set)
 
     async def _close(self) -> None:
         if self._server is not None:
@@ -774,7 +783,10 @@ class ServerThread:
         return self.server.port
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Hard-stop the server and join its thread (idempotent)."""
+        """Hard-stop the server and join its thread (idempotent; a no-op
+        once the server has exited, e.g. after a graceful ``shutdown``)."""
+        if not self._thread.is_alive():
+            return
         self.server.request_stop()
         self._thread.join(timeout)
 

@@ -7,6 +7,8 @@ tests stay fast.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.codex.engine import SimulatedCodex
 from repro.core.evaluator import PromptEvaluator
 from repro.core.runner import EvaluationRunner, ResultSet
 from repro.corpus.store import CorpusStore, default_corpus
+from repro.dispatch import faults
 
 
 @pytest.fixture(autouse=True)
@@ -62,3 +65,33 @@ def full_results(evaluator: PromptEvaluator) -> ResultSet:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+class ShardGate:
+    """Holds every shard evaluation at the ``worker.evaluate`` fault point
+    until the test releases it, so a test decides what happens while an
+    experiment is still running instead of racing the worker."""
+
+    def __init__(self) -> None:
+        #: Set once a worker is held at the fault point.
+        self.reached = threading.Event()
+        self.released = threading.Event()
+
+    def fire(self, real_fire, point: str, context: str = ""):
+        if point == "worker.evaluate":
+            self.reached.set()
+            if not self.released.wait(timeout=60):  # hang guard, not a wait-and-hope
+                raise RuntimeError("shard gate was never released")
+        return real_fire(point, context)
+
+
+@pytest.fixture
+def shard_gate(monkeypatch):
+    """A :class:`ShardGate` on every evaluation in this process (service
+    tests: hold a running experiment so queued/cancel states are decided by
+    the test, not by how fast a shard evaluates)."""
+    gate = ShardGate()
+    real_fire = faults.fire
+    monkeypatch.setattr(faults, "fire", lambda *args: gate.fire(real_fire, *args))
+    yield gate
+    gate.released.set()

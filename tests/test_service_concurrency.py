@@ -126,24 +126,25 @@ class TestConcurrentClients:
 
 
 class TestBoundedQueue:
-    def test_queue_full_is_explicit_and_cancel_releases_the_slot(self):
+    def test_queue_full_is_explicit_and_cancel_releases_the_slot(self, shard_gate):
         """With one slot and one worker: the second submit is refused with
         queue-full, cancelling the running experiment mid-run frees the
         slot, and the next submit is accepted."""
         with ServerThread(workers=1, queue_limit=1) as handle:
             client = connect(port=handle.port)
             try:
-                # Many small shards: cancellation lands at a shard boundary
-                # long before the experiment finishes.
                 running = client.submit(
                     seed=DEFAULT_SEED, languages=["julia"], shards=12
                 )
+                # The first shard is held, so the cancel lands mid-run.
+                assert shard_gate.reached.wait(timeout=60)
                 with pytest.raises(ServiceError) as excinfo:
                     client.submit(**SPEC)
                 assert excinfo.value.code == protocol.ERR_QUEUE_FULL
                 assert excinfo.value.data["limit"] == 1
 
                 client.cancel(running)
+                shard_gate.released.set()
                 final = client.wait(running)
                 assert final["state"] == "cancelled"
                 assert final["done"] < final["total"], "cancel landed mid-run"
@@ -153,21 +154,26 @@ class TestBoundedQueue:
                 accepted = client.submit(**SPEC)
                 assert client.wait(accepted)["state"] == "done"
             finally:
+                shard_gate.released.set()
                 client.close()
 
-    def test_cancelled_queued_experiment_never_runs(self):
+    def test_cancelled_queued_experiment_never_runs(self, shard_gate):
         with ServerThread(workers=1, queue_limit=2) as handle:
             client = connect(port=handle.port)
             try:
                 running = client.submit(seed=DEFAULT_SEED, languages=["julia"], shards=8)
+                # The running experiment is held at its first shard.
+                assert shard_gate.reached.wait(timeout=60)
                 queued = client.submit(**SPEC)
                 assert client.cancel(queued)["state"] == "cancelled"
                 status = client.status(queued)
                 assert status["state"] == "cancelled"
                 assert status["executed"] == 0 and status["done"] == 0
                 client.cancel(running)
+                shard_gate.released.set()
                 client.wait(running)
             finally:
+                shard_gate.released.set()
                 client.close()
 
     def test_cancel_is_idempotent(self):

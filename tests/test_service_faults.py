@@ -228,6 +228,22 @@ class TestKillRestartResume:
         finally:
             second.stop()
 
+    def test_stop_after_graceful_shutdown_is_a_no_op(self):
+        """``stop`` is documented as idempotent: after a graceful
+        ``shutdown`` closed the event loop, stopping (twice) changes nothing
+        and raises nothing."""
+        handle = ServerThread().start()
+        client = connect(port=handle.port)
+        try:
+            assert client.shutdown()["stopping"] is True
+        finally:
+            client.close()
+        assert handle.join(timeout=60), "a graceful shutdown exits on its own"
+        assert handle.server.loop.is_closed()
+        handle.server.request_stop()
+        handle.stop()
+        handle.stop()
+
     def test_submit_during_shutdown_is_refused(self):
         from repro.service import protocol
         from repro.service.protocol import ServiceError

@@ -229,11 +229,13 @@ class TestRequestResponse:
             reply = conn.request(method, {"experiment_id": "exp-999999"}, id=method)
             assert reply["error"]["code"] == protocol.ERR_UNKNOWN_EXPERIMENT
 
-    def test_result_before_terminal_state_is_refused(self, conn):
+    def test_result_before_terminal_state_is_refused(self, conn, shard_gate):
         conn.hello()
-        # The module server has one worker: keep it busy so the second
-        # experiment is deterministically queued when `result` arrives.
+        # The module server has one worker: hold it in the first
+        # experiment's first shard so the second experiment is
+        # deterministically queued when `result` arrives.
         first = conn.request("submit", {"spec": {"languages": ["julia"]}}, id=30)
+        assert shard_gate.reached.wait(timeout=60)
         queued = conn.request("submit", {"spec": TINY_SPEC}, id=31)
         experiment = queued["result"]["experiment_id"]
         reply = conn.request("result", {"experiment_id": experiment}, id=32)
@@ -243,6 +245,7 @@ class TestRequestResponse:
             conn.request(
                 "cancel", {"experiment_id": response["result"]["experiment_id"]}, id=33
             )
+        shard_gate.released.set()
 
     def test_notifications_have_no_id_and_responses_no_method(self, conn):
         conn.hello()
