@@ -10,15 +10,21 @@ reported by pytest-benchmark; correctness of the reproduction is asserted.
 from __future__ import annotations
 
 from repro.analysis.analyzer import clear_verdict_memo
-from repro.api import Session
+from repro.api import ExperimentReport, Session
 from repro.codex.config import DEFAULT_SEED
 from repro.core.compare import ShapeComparison, compare_to_paper
 from repro.core.runner import ResultSet
 
-__all__ = ["evaluate_language", "evaluate_full_grid", "assert_shape_agreement", "DEFAULT_SEED"]
+__all__ = [
+    "evaluate_language",
+    "evaluate_full_grid",
+    "run_ablation",
+    "assert_shape_agreement",
+    "DEFAULT_SEED",
+]
 
 
-def evaluate_language(language: str, *, seed: int = DEFAULT_SEED, backend: str = "serial") -> ResultSet:
+def evaluate_language(language: str, *, seed: int = DEFAULT_SEED) -> ResultSet:
     """Run the full evaluation for one language's table.
 
     Each call drives a fresh :class:`repro.api.Session` (empty result cache)
@@ -28,16 +34,23 @@ def evaluate_language(language: str, *, seed: int = DEFAULT_SEED, backend: str =
     infrastructure, not the measured pipeline.)
     """
     clear_verdict_memo()
-    with Session(seed=seed, backend=backend) as session:
+    with Session(seed=seed) as session:
         return session.language_results(language)
 
 
-def evaluate_full_grid(*, seed: int = DEFAULT_SEED, backend: str = "serial") -> ResultSet:
+def evaluate_full_grid(*, seed: int = DEFAULT_SEED) -> ResultSet:
     """Run the evaluation for every cell of the Table 1 grid (cold caches,
     see :func:`evaluate_language`)."""
     clear_verdict_memo()
-    with Session(seed=seed, backend=backend) as session:
+    with Session(seed=seed) as session:
         return session.full_results()
+
+
+def run_ablation(name: str, **params) -> ExperimentReport:
+    """Run one ablation (see :meth:`repro.api.Session.ablation`) through a
+    fresh :class:`repro.api.Session`."""
+    with Session() as session:
+        return session.ablation(name, **params)
 
 
 def assert_shape_agreement(results: ResultSet, language: str) -> ShapeComparison:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from repro.harness.experiments import run_keyword_ablation
+from _shared import run_ablation
 
 
 def test_ablation_keywords(benchmark):
-    report = benchmark(run_keyword_ablation)
+    report = benchmark(run_ablation, "keywords")
     effects = report.data["effects"]
     # The paper's qualitative findings: the keyword is decisive for Fortran
     # and Python, mild for C++, and Julia has no keyword variant at all.

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from repro.harness.experiments import run_maturity_ablation
+from _shared import run_ablation
 
 
 def test_ablation_maturity(benchmark):
-    report = benchmark(lambda: run_maturity_ablation(scales=(0.5, 1.0, 1.25)))
+    report = benchmark(run_ablation, "maturity", scales=(0.5, 1.0, 1.25))
     # The qualitative C++ ranking (OpenMP among the top models) must be
     # stable across a wide range of prior weights — i.e. the reproduction's
     # conclusions do not hinge on one hand-picked constant.

@@ -1,8 +1,10 @@
-"""E-PERF: wall-clock scaling of full-grid evaluation across executor backends.
+"""E-PERF: wall-clock scaling of full-grid evaluation, serial vs multi-process.
 
-Times the complete Table 1 grid under the ``serial`` and ``process``
-backends (cold caches, so the numbers reflect the true pipeline cost, not
-memo hits), verifies the two backends produce byte-identical records, then
+Times the complete Table 1 grid serially (one :class:`repro.api.Session`)
+and through the one multi-process path, :class:`repro.dispatch.ShardDriver`
+with the ``process`` backend (cold caches, so the numbers reflect the true
+pipeline cost, not memo hits), verifies both produce byte-identical
+records, then
 times a sharded run — the grid split into ``SHARD_COUNT`` independent
 :class:`repro.api.Shard`s, each evaluated by its own fresh
 :class:`repro.api.Session` as if on a separate machine, plus the
@@ -38,7 +40,8 @@ from repro.api import ExperimentSpec, Session, merge_shard_parts
 from repro.corpus.store import clear_default_corpus_cache, default_corpus
 from repro.dispatch import ResultStore, ShardDriver
 
-#: Backends measured for the scaling record.
+#: Paths measured for the scaling record: ``serial`` is one Session,
+#: ``process`` is the dispatch driver's worker processes.
 SCALING_BACKENDS = ("serial", "process")
 
 #: Number of single-machine shards timed for the sharded-vs-unsharded record.
@@ -56,29 +59,39 @@ def _cold_caches() -> None:
     clear_default_corpus_cache()
 
 
+def _evaluate_full_grid(backend: str, cores: int) -> list[dict]:
+    """The full grid's records, evaluated serially or by ``ShardDriver``'s
+    ``process`` backend with one worker per core (up to 8) and one shard
+    per worker: every worker process starts from a cold verdict memo, so
+    extra shards re-analyze the suggestions they share."""
+    if backend == "serial":
+        with Session(seed=DEFAULT_SEED) as session:
+            return session.full_results().to_records()
+    workers = min(cores, 8)
+    spec = ExperimentSpec(seeds=(DEFAULT_SEED,))
+    report = ShardDriver(spec, shards=workers, backend="process", max_workers=workers).run()
+    assert report.complete, report.summary()
+    return report.result().to_records()
+
+
 def _time_full_grid(backend: str, cores: int) -> tuple[float, list[dict]]:
-    """Best-of-``REPEATS`` wall-clock for the full grid under one backend.
+    """Best-of-``REPEATS`` wall-clock for the full grid on one path.
 
     The corpus is pre-built before timing (on fork platforms workers inherit
-    it copy-on-write), and every repeat starts from a fresh session and a
-    cleared verdict memo, so both backends pay identical cold-analysis cost:
-    the serial memo is cleared in-process, and a new worker pool (with empty
-    worker-side memos) is spawned inside the timed region.
+    it copy-on-write), and every repeat starts from a cleared verdict memo,
+    so both paths pay identical cold-analysis cost: the serial memo is
+    cleared in-process, and the worker processes (forked from this one,
+    with the cleared memo) are spawned inside the timed region.
     """
     _cold_caches()
     default_corpus()
     best = float("inf")
     for _ in range(REPEATS):
         clear_verdict_memo()
-        with Session(
-            seed=DEFAULT_SEED,
-            backend=backend,
-            max_workers=min(cores, 8) if backend != "serial" else None,
-        ) as session:
-            start = time.perf_counter()
-            results = session.full_results()
-            best = min(best, time.perf_counter() - start)
-    return best, results.to_records()
+        start = time.perf_counter()
+        records = _evaluate_full_grid(backend, cores)
+        best = min(best, time.perf_counter() - start)
+    return best, records
 
 
 def _time_sharded_grid(n: int) -> tuple[float, float, list[dict]]:
@@ -187,7 +200,7 @@ def collect_perf_record() -> dict:
         record["experiments"][f"full_grid[{backend}]"] = round(elapsed, 4)
         grid_records[backend] = records
     assert grid_records["process"] == grid_records["serial"], (
-        "process backend diverged from serial records"
+        "process dispatch diverged from serial records"
     )
     serial_s = record["experiments"]["full_grid[serial]"]
     process_s = record["experiments"]["full_grid[process]"]

@@ -25,7 +25,7 @@ methodology:
 * :mod:`repro.harness` — table/figure rendering, record persistence and the
   CLI (including the ``shard``/``merge`` subcommands).
 * :mod:`repro.api` — **the supported entry point**: the :class:`Session`
-  façade (per-session caching, backend selection, progress) plus the
+  façade (per-session caching, pooled runners, progress) plus the
   declarative, shardable :class:`ExperimentSpec`/:class:`Shard` grids with
   mergeable ``ResultSet``s and validating ``ShardManifest``s.
 """

@@ -24,8 +24,8 @@ Two further layers sit at this seam:
 * A persistent :class:`~repro.analysis.store.VerdictStore` can be attached
   (``SuggestionAnalyzer(store=...)``): memo misses consult the on-disk store
   before computing, and every verdict the analyzer computes is written back
-  — so verdicts survive the process and are shared across process-backend
-  workers and separate CLI invocations.
+  — so verdicts survive the process and are shared across dispatch worker
+  processes and separate CLI invocations.
 * :meth:`SuggestionAnalyzer.analyze_batch` resolves a whole suggestion list
   at once.  Cache misses that need sandbox execution are collected and run
   as one batch through

@@ -3,9 +3,9 @@
 Everything downstream code needs lives here (reference: ``docs/api.md``;
 layering and determinism contract: ``docs/architecture.md``):
 
-* :class:`Session` — context-managed façade owning result caching, backend
-  selection, pooled runners, progress callbacks and the optional persistent
-  verdict store (``session.table(2)``, ``session.figure(4)``,
+* :class:`Session` — context-managed façade owning result caching, pooled
+  runners, progress callbacks and the optional persistent verdict store
+  (``session.table(2)``, ``session.figure(4)``,
   ``session.ablation("keywords")``, ``session.run(spec)``,
   ``session.sweep(seeds=[...])``, ``session.run_everything()``).
 * :class:`ExperimentSpec` / :class:`Shard` / :class:`ShardManifest` — the
@@ -29,10 +29,9 @@ layering and determinism contract: ``docs/architecture.md``):
   with its shard-level :class:`~repro.dispatch.ResultStore`: completed
   shard payloads survive the process, so a killed run resumes instead of
   recomputing, and a complete dispatch is byte-identical to ``run --json``.
-
-The free functions in :mod:`repro.harness.experiments` are deprecated thin
-wrappers over the process-default :class:`Session` (migration table in
-``docs/api.md``).
+  ``backend="process"`` is the one multi-process evaluation path.
+* :class:`ExperimentReport` / :data:`TABLE_LANGUAGES` — what the paper
+  artefact methods return, and the table number → language map.
 
 Example — declare a run, shard it, and open a session:
 
@@ -45,17 +44,16 @@ Example — declare a run, shard it, and open a session:
 >>> spec.shard(1, 3).entry().seed
 7
 >>> with Session(seed=7) as session:
-...     session.backend
-'serial'
+...     session.runner().seed
+7
 """
 
 from __future__ import annotations
 
 from repro.analysis.store import VerdictStore, default_store_path
 from repro.core.runner import RecordResult, ResultSet
-from repro.harness.experiments import ExperimentReport
 
-from repro.api.session import Session, default_session, reset_default_session
+from repro.api.session import TABLE_LANGUAGES, ExperimentReport, Session
 from repro.api.spec import (
     SHARD_FORMAT,
     ExperimentSpec,
@@ -94,8 +92,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "Session",
-    "default_session",
-    "reset_default_session",
     "ExperimentSpec",
     "IncrementalMerge",
     "Shard",
@@ -112,6 +108,7 @@ __all__ = [
     "ResultSet",
     "RecordResult",
     "ExperimentReport",
+    "TABLE_LANGUAGES",
     "VerdictStore",
     "default_store_path",
     "DISPATCH_BACKENDS",

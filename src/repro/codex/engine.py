@@ -15,8 +15,8 @@ sequential engine-level RNG state exists, so
 * the full grid is byte-identical regardless of evaluation order or of how
   cells are partitioned across threads/processes.
 
-That contract is what makes the parallel backends in
-:mod:`repro.core.runner` safe.
+That contract is what makes sharded and multi-process evaluation
+(:mod:`repro.dispatch`) safe.
 """
 
 from __future__ import annotations

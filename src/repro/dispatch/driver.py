@@ -209,10 +209,10 @@ def _process_shard_worker(conn, spec: ExperimentSpec, index: int, of: int, store
     """Process-backend worker: evaluate one shard, report through the pipe.
 
     Sends ``("ok", records, sandbox executions, verdict-store hits,
-    seconds)`` — the counter deltas let the parent driver aggregate across
-    the pool exactly as :class:`EvaluationRunner`'s chunk workers do, and
-    the worker-measured seconds are the shard's own evaluation cost (the
-    parent cannot separate queueing from computing) — or
+    seconds)`` — the counters let the parent driver aggregate sandbox work
+    across worker processes, and the worker-measured seconds are the
+    shard's own evaluation cost (the parent cannot separate queueing from
+    computing) — or
     ``("error", failure record)`` when evaluation raises.  A worker that
     dies without sending anything (hard crash, injected ``die``, kill on
     timeout) is detected by the parent through the closed pipe.
@@ -220,22 +220,20 @@ def _process_shard_worker(conn, spec: ExperimentSpec, index: int, of: int, store
     try:
         shard = spec.shard(index, of)
         store = None if store_path is None else VerdictStore(store_path)
-        with EvaluationRunner(config=spec.config, seed=shard.seed, verdict_store=store) as runner:
-            results, failure, seconds = run_shard_contained(
-                runner, shard, label=shard_label(shard)
-            )
-            if failure is not None:
-                conn.send(("error", failure))
-            else:
-                conn.send(
-                    (
-                        "ok",
-                        results.to_records(),
-                        runner.sandbox_executions,
-                        runner.store_hits,
-                        seconds,
-                    )
+        runner = EvaluationRunner(config=spec.config, seed=shard.seed, verdict_store=store)
+        results, failure, seconds = run_shard_contained(runner, shard, label=shard_label(shard))
+        if failure is not None:
+            conn.send(("error", failure))
+        else:
+            conn.send(
+                (
+                    "ok",
+                    results.to_records(),
+                    runner.sandbox_executions,
+                    runner.store_hits,
+                    seconds,
                 )
+            )
     except Exception as exc:  # containment of setup errors, not just evaluation
         try:
             conn.send(("error", failure_record(exc, label=f"shard-{index}", phase="worker")))
@@ -385,19 +383,16 @@ class ShardDriver:
                     cached[shard.index] = hit
         pending = [shard for shard in plan if shard.index not in cached]
         budget = len(pending) if self.max_shards is None else min(self.max_shards, len(pending))
-        try:
-            runners = {
-                "inline": self._drive_inline,
-                "process": self._drive_process,
-                "file-queue": self._drive_queue,
-            }
-            for settled in runners[self.backend](plan, cached, budget, report):
-                if isinstance(settled, ShardQuarantine):
-                    report.quarantined.append(settled)
-                    continue
-                self._complete_shard(settled, merge, report)
-        finally:
-            self._close_runners()
+        runners = {
+            "inline": self._drive_inline,
+            "process": self._drive_process,
+            "file-queue": self._drive_queue,
+        }
+        for settled in runners[self.backend](plan, cached, budget, report):
+            if isinstance(settled, ShardQuarantine):
+                report.quarantined.append(settled)
+                continue
+            self._complete_shard(settled, merge, report)
         report.complete = len(report.outcomes) == report.shards_total
         report.results = merge.merged() if report.complete else merge.partial()
         return report
@@ -460,9 +455,6 @@ class ShardDriver:
             return self._runner_factory(seed, self.spec.config)
         return self._own_runners.runner(seed, self.spec.config)
 
-    def _close_runners(self) -> None:
-        self._own_runners.close()
-
     # -- process backend -------------------------------------------------------
     def _drive_process(
         self,
@@ -481,8 +473,7 @@ class ShardDriver:
                 yield ShardOutcome(shard.entry(), cached[shard.index], "store", 0.0)
             return
         store_path = None if self.verdict_store is None else str(self.verdict_store.path)
-        # Same hardware-based sizing policy as EvaluationRunner's pools,
-        # additionally capped by the actual shard count.
+        # One worker per core up to 8, capped by the actual shard count.
         workers = self.max_workers or min(8, os.cpu_count() or 1, len(to_execute))
         ctx = multiprocessing.get_context()
         waiting: deque[tuple[Shard, int]] = deque((shard, 1) for shard in to_execute)

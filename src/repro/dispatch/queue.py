@@ -563,43 +563,43 @@ def drain_queue(
     refused: set[str] = set()
     idle = 0
     empty_deadline: float | None = None
-    with RunnerPool(verdict_store=verdict_store, progress=progress) as pool:
-        while max_tasks is None or executed < max_tasks:
-            claim = queue.claim_next(skip=refused)
-            if claim is None:
-                if poll is None:
-                    break
-                now = time.monotonic()
-                if empty_deadline is None:
-                    empty_deadline = now + poll
-                if now >= empty_deadline:
-                    break
-                time.sleep(min(faults.backoff_delay(idle), empty_deadline - now))
-                idle += 1
-                continue
-            idle = 0
-            empty_deadline = None
-            try:
-                shard = queue.load_task(claim.descriptor)
-            except (ValueError, KeyError, TypeError) as exc:
-                queue.release(claim)
-                refused.add(claim.name)
-                warnings.warn(f"refusing queued task {claim.name}: {exc}", stacklevel=2)
-                continue
-            with HeartbeatLease(queue, claim):
-                runner = pool.runner(shard.seed, shard.spec.config)
-                results, failure, _ = run_shard_contained(
-                    runner, shard, label=claim.name, attempt=queue.attempts(claim.name) + 1
-                )
-            if failure is not None:
-                quarantined = queue.fail(claim, failure)
-                warnings.warn(
-                    f"task {claim.name} failed ({failure['error']}: {failure['message']}); "
-                    + ("quarantined" if quarantined else "released for retry"),
-                    stacklevel=2,
-                )
-                continue
-            queue.complete(claim.name, shard_payload(shard, results))
-            queue.retire(claim)
-            executed += 1
+    pool = RunnerPool(verdict_store=verdict_store, progress=progress)
+    while max_tasks is None or executed < max_tasks:
+        claim = queue.claim_next(skip=refused)
+        if claim is None:
+            if poll is None:
+                break
+            now = time.monotonic()
+            if empty_deadline is None:
+                empty_deadline = now + poll
+            if now >= empty_deadline:
+                break
+            time.sleep(min(faults.backoff_delay(idle), empty_deadline - now))
+            idle += 1
+            continue
+        idle = 0
+        empty_deadline = None
+        try:
+            shard = queue.load_task(claim.descriptor)
+        except (ValueError, KeyError, TypeError) as exc:
+            queue.release(claim)
+            refused.add(claim.name)
+            warnings.warn(f"refusing queued task {claim.name}: {exc}", stacklevel=2)
+            continue
+        with HeartbeatLease(queue, claim):
+            runner = pool.runner(shard.seed, shard.spec.config)
+            results, failure, _ = run_shard_contained(
+                runner, shard, label=claim.name, attempt=queue.attempts(claim.name) + 1
+            )
+        if failure is not None:
+            quarantined = queue.fail(claim, failure)
+            warnings.warn(
+                f"task {claim.name} failed ({failure['error']}: {failure['message']}); "
+                + ("quarantined" if quarantined else "released for retry"),
+                stacklevel=2,
+            )
+            continue
+        queue.complete(claim.name, shard_payload(shard, results))
+        queue.retire(claim)
+        executed += 1
     return executed

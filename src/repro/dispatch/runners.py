@@ -6,7 +6,7 @@ file-queue-local execution) and :func:`~repro.dispatch.queue.drain_queue`
 :class:`~repro.core.runner.EvaluationRunner`s keyed on
 ``(seed, config fingerprint)``, and both must survive a shard whose
 evaluation raises: this module is the single implementation of the runner
-lifecycle (:class:`RunnerPool`), the crash-containment wrapper
+cache (:class:`RunnerPool`), the crash-containment wrapper
 (:func:`run_shard_contained`) and the structured failure record every
 retry/quarantine decision is based on, so the worker paths can never drift
 apart.
@@ -145,7 +145,7 @@ def evaluate_with_retries(
 
 class RunnerPool:
     """Lazily-created serial runners keyed ``(seed, config fingerprint)``,
-    all sharing one verdict store and progress callback, closed together."""
+    all sharing one verdict store and progress callback."""
 
     def __init__(self, *, verdict_store=None, progress: Callable | None = None) -> None:
         self.verdict_store = verdict_store
@@ -163,14 +163,3 @@ class RunnerPool:
                 verdict_store=self.verdict_store,
             )
         return runner
-
-    def close(self) -> None:
-        for runner in self._runners.values():
-            runner.close()
-        self._runners.clear()
-
-    def __enter__(self) -> "RunnerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -84,13 +84,12 @@ import os
 import sys
 from pathlib import Path
 
+from repro.api.session import TABLE_LANGUAGES, Session
 from repro.codex.config import DEFAULT_SEED
 from repro.codex.engine import SimulatedCodex
 from repro.codex.prompt import Prompt
 from repro.core.compare import compare_to_paper
 from repro.core.evaluator import PromptEvaluator
-from repro.core.runner import BACKENDS
-from repro.harness.experiments import TABLE_LANGUAGES
 from repro.harness.io import save_records_csv, save_records_json
 from repro.models.grid import ExperimentCell
 from repro.models.languages import get_language, language_names
@@ -105,12 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         "Programming Models Kernel Generation' (Godoy et al., ICPP-W 2023)",
     )
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="experiment seed")
-    parser.add_argument(
-        "--backend",
-        choices=sorted(BACKENDS),
-        default="serial",
-        help="executor backend for grid evaluation (results are identical across backends)",
-    )
     parser.add_argument(
         "--verdict-store",
         default=None,
@@ -209,10 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dispatch.add_argument(
         "--backend",
-        dest="dispatch_backend",
         choices=["inline", "process", "file-queue"],
         default="inline",
-        help="worker backend shards are dispatched to (default inline)",
+        help="worker backend shards are dispatched to (default inline; 'process' is "
+        "the multi-process evaluation path)",
     )
     dispatch.add_argument(
         "--result-store",
@@ -559,7 +552,7 @@ def _cmd_dispatch(args: argparse.Namespace, session) -> int:
     report = session.dispatch(
         spec,
         shards=args.shards,
-        backend=args.dispatch_backend,
+        backend=args.backend,
         result_store=store,
         queue=args.queue,
         max_workers=args.workers,
@@ -809,8 +802,6 @@ def main(argv: list[str] | None = None) -> int:
         "cache": _cmd_cache,
         "cache-server": _cmd_cache_server,
     }
-    from repro.api.session import Session
-
     if args.cache_url:
         # Through the environment on purpose: process-backend workers,
         # dispatch workers and the serve service all rebuild stores from a
@@ -823,7 +814,7 @@ def main(argv: list[str] | None = None) -> int:
 
         install_extended_grid()
     verdict_store = True if args.verdict_store == "auto" else args.verdict_store
-    with Session(seed=args.seed, backend=args.backend, verdict_store=verdict_store) as session:
+    with Session(seed=args.seed, verdict_store=verdict_store) as session:
         status = handlers[args.command](args, session)
         if session.verdict_store is not None and args.command not in ("cache", "cache-server"):
             # Stderr so piped payloads (shard --out -, merge --json -) stay

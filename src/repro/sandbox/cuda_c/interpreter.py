@@ -68,8 +68,8 @@ _KERNELS: dict[str, Mapping[str, "CudaKernel"]] = {}
 
 #: Active launch memo of a :func:`shared_parse_scope`: (kernel, grid, block,
 #: argument fingerprint) -> post-launch buffer states.  ``None`` outside any
-#: scope.  Context-local, so concurrent sandbox contexts under the thread
-#: backend each see their own scope and cannot corrupt each other's restore.
+#: scope.  Context-local, so concurrent sandbox contexts in different threads
+#: each see their own scope and cannot corrupt each other's restore.
 _LAUNCH_SCOPE: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "cuda_launch_scope", default=None
 )
@@ -137,7 +137,7 @@ def shared_parse_scope() -> Iterator[None]:
 
 #: Active execution mode: "auto" (lockstep where compiled, scalar otherwise)
 #: or "scalar" (force the reference sweep).  Context-local so concurrent
-#: sandbox contexts under the thread backend are independent; the process
+#: sandbox contexts in different threads are independent; the process
 #: default honours ``$REPRO_CUDA_EXECUTION`` for CLI-level control.
 _EXECUTION_MODE: contextvars.ContextVar[str | None] = contextvars.ContextVar(
     "cuda_execution_mode", default=None

@@ -45,7 +45,7 @@ __all__ = [
 
 #: Process-wide count of suggestion modules actually executed (monotonic;
 #: callers measure deltas).  Incremented just before a module's ``exec``,
-#: under a lock so thread-backend runs never drop increments.
+#: under a lock so concurrent service workers never drop increments.
 _EXECUTION_COUNT = 0
 _EXECUTION_COUNT_LOCK = threading.Lock()
 
@@ -117,22 +117,31 @@ def _fake_module_map() -> dict[str, types.ModuleType]:
     return modules
 
 
+#: Held for the whole body of :func:`fake_runtime`.  The fakes live in the
+#: process-global ``sys.modules``, so two threads inside the context at once
+#: (the service's workers share one process) would uninstall each other's
+#: fakes on exit.  Re-entrant, so a nested context in one thread cannot deadlock.
+_RUNTIME_LOCK = threading.RLock()
+
+
 @contextlib.contextmanager
 def fake_runtime() -> Iterator[None]:
-    """Temporarily install the fake numba/cupy/pycuda modules."""
-    fakes = _fake_module_map()
-    saved: dict[str, types.ModuleType | None] = {}
-    for name, module in fakes.items():
-        saved[name] = sys.modules.get(name)
-        sys.modules[name] = module
-    try:
-        yield
-    finally:
-        for name, original in saved.items():
-            if original is None:
-                sys.modules.pop(name, None)
-            else:
-                sys.modules[name] = original
+    """Temporarily install the fake numba/cupy/pycuda modules (one thread at
+    a time; see :data:`_RUNTIME_LOCK`)."""
+    with _RUNTIME_LOCK:
+        fakes = _fake_module_map()
+        saved: dict[str, types.ModuleType | None] = {}
+        for name, module in fakes.items():
+            saved[name] = sys.modules.get(name)
+            sys.modules[name] = module
+        try:
+            yield
+        finally:
+            for name, original in saved.items():
+                if original is None:
+                    sys.modules.pop(name, None)
+                else:
+                    sys.modules[name] = original
 
 
 def _run_in_runtime(code: str, kernel: str, task: SandboxTask) -> ExecutionResult:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.analyzer import SuggestionAnalyzer
-from repro.api.session import reset_default_session
+from repro.api import Session
 from repro.codex.config import CodexConfig, DEFAULT_SEED
 from repro.codex.engine import SimulatedCodex
 from repro.core.evaluator import PromptEvaluator
@@ -22,14 +22,11 @@ from repro.corpus.store import CorpusStore, default_corpus
 from repro.dispatch import faults
 
 
-@pytest.fixture(autouse=True)
-def _fresh_default_session():
-    """The legacy harness wrappers resolve through the process-default
-    Session; each test gets a fresh one so cached ResultSets never leak
-    between seeds/configs, and the old session's worker pools are closed."""
-    reset_default_session()
-    yield
-    reset_default_session()
+@pytest.fixture()
+def session():
+    """A fresh :class:`repro.api.Session` (its result cache starts empty)."""
+    with Session() as fresh:
+        yield fresh
 
 
 @pytest.fixture(scope="session")

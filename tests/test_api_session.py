@@ -1,15 +1,13 @@
-"""Tests for the Session façade and the deprecated legacy shim over it."""
+"""Tests for the Session façade."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.api import Session
-from repro.api.session import default_session, reset_default_session
 from repro.api.spec import ExperimentSpec
 from repro.codex.config import CodexConfig, DEFAULT_SEED
 from repro.core.runner import ResultSet
-from repro.harness import experiments
 
 
 class TestSessionCaching:
@@ -53,7 +51,7 @@ class TestSessionCaching:
 
 class TestSessionLifecycle:
     def test_close_shuts_down_runners(self):
-        session = Session(backend="thread")
+        session = Session()
         session.language_results("julia")
         assert session._runners
         session.close()
@@ -70,11 +68,11 @@ class TestSessionLifecycle:
             assert next(iter(session._runners.values())) is runner
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            Session(backend="gpu")
+        # Backends are chosen only at dispatch, which refuses unknown ones.
         with Session() as session:
-            with pytest.raises(ValueError):
-                session.language_results("julia", backend="gpu")
+            for backend in ("gpu", "thread"):
+                with pytest.raises(ValueError):
+                    session.dispatch(backend=backend)
 
     def test_progress_callback_fires_per_cell(self):
         seen: list[str] = []
@@ -84,15 +82,6 @@ class TestSessionLifecycle:
 
 
 class TestSessionArtefacts:
-    def test_table_matches_legacy_wrapper(self):
-        with Session() as session:
-            report = session.table(5)
-        with pytest.warns(DeprecationWarning):
-            legacy = experiments.run_table(5)
-        assert report.experiment_id == legacy.experiment_id == "table5"
-        assert report.text == legacy.text
-        assert report.data["records"] == legacy.data["records"]
-
     def test_figure_and_overall(self):
         with Session() as session:
             fig = session.figure(3)
@@ -147,35 +136,3 @@ class TestSpecRunsAndSweeps:
             alone = session.language_results("julia", seed=7)
             assert swept[7].to_records() == alone.to_records()
 
-
-class TestLegacyShim:
-    def test_wrappers_emit_deprecation_warnings(self):
-        for call in (
-            lambda: experiments.run_language_results("julia"),
-            lambda: experiments.run_table(2),
-            lambda: experiments.run_figure(5),
-            lambda: experiments.clear_result_cache(),
-        ):
-            with pytest.warns(DeprecationWarning):
-                call()
-
-    def test_wrappers_share_the_default_session_cache(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = experiments.run_language_results("julia")
-        assert default_session().language_results("julia") is legacy
-
-    def test_legacy_cache_internals_mirror_default_session(self):
-        from repro.harness.experiments import _RESULT_CACHE, _RESULT_CACHE_MAX, _cache_put
-
-        assert _RESULT_CACHE is default_session()._cache
-        assert _RESULT_CACHE_MAX == default_session()._cache_max
-        _cache_put((1, "x", "f"), ResultSet(seed=1))
-        assert (1, "x", "f") in default_session()._cache
-
-    def test_reset_default_session_isolates(self):
-        first = default_session()
-        first.language_results("julia")
-        fresh = reset_default_session()
-        assert fresh is not first
-        assert not fresh._cache
-        assert default_session() is fresh

@@ -113,11 +113,11 @@ class TestStockInvariance:
     def test_stock_records_identical_with_extension_installed(self):
         """The cell_seed_sequence contract: growing the grid never perturbs
         a stock cell's suggestion stream, so its records match exactly."""
-        with Session(backend="serial") as session:
+        with Session() as session:
             stock = session.language_results("python").to_records()
         install_extended_grid()
         try:
-            with Session(backend="serial") as session:
+            with Session() as session:
                 extended = session.language_results("python").to_records()
         finally:
             uninstall_extended_grid()
@@ -130,7 +130,7 @@ class TestStockInvariance:
 
 class TestExtendedCells:
     def test_extended_python_run_covers_new_cells(self, extended_grid):
-        with Session(backend="serial") as session:
+        with Session() as session:
             results = session.language_results("python")
         kernels_seen = {r.cell.kernel for r in results}
         models_seen = {r.cell.model for r in results}

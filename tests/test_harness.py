@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro.harness import experiments
 from repro.harness.cli import build_parser, main
 from repro.harness.figures import (
     FIGURE_LANGUAGES,
@@ -78,57 +77,54 @@ class TestFiguresRendering:
 
 
 class TestExperiments:
-    def test_run_table_reports(self):
-        report = experiments.run_table(5)
+    def test_run_table_reports(self, session):
+        report = session.table(5)
         assert report.experiment_id == "table5"
         assert report.comparison is not None
         assert "Julia" in report.text
         assert "rho=" in report.summary_line()
 
-    def test_run_table_unknown_number(self):
+    def test_run_table_unknown_number(self, session):
         with pytest.raises(KeyError):
-            experiments.run_table(7)
+            session.table(7)
 
-    def test_run_figure_reports(self):
-        report = experiments.run_figure(3)
+    def test_run_figure_reports(self, session):
+        report = session.figure(3)
         assert report.experiment_id == "figure3"
         assert "kernels" in report.data
         assert report.comparison is not None
 
-    def test_run_figure6(self):
-        report = experiments.run_figure(6)
+    def test_run_figure6(self, session):
+        report = session.figure(6)
         assert report.experiment_id == "figure6"
         assert set(report.data["languages"]) == set(language_names())
         assert report.summary_line().endswith("done")
 
-    def test_run_figure_unknown_number(self):
+    def test_run_figure_unknown_number(self, session):
         with pytest.raises(KeyError):
-            experiments.run_figure(9)
+            session.figure(9)
 
-    def test_language_results_are_cached(self):
-        first = experiments.run_language_results("julia")
-        second = experiments.run_language_results("julia")
+    def test_language_results_are_cached(self, session):
+        first = session.language_results("julia")
+        second = session.language_results("julia")
         assert first is second
 
-    def test_keyword_ablation(self):
-        report = experiments.run_keyword_ablation()
+    def test_keyword_ablation(self, session):
+        report = session.ablation("keywords")
         effects = report.data["effects"]
         assert effects["fortran"]["delta"] > 0
         assert effects["python"]["delta"] > 0
         assert "Fortran" in report.text
 
-    def test_suggestion_count_ablation_scores_bounded(self):
-        report = experiments.run_suggestion_count_ablation(counts=(1, 10))
+    def test_suggestion_count_ablation_scores_bounded(self, session):
+        report = session.ablation("suggestions", counts=(1, 10))
         means = report.data["means"]
         assert set(means) == {1, 10}
         assert all(0.0 <= v <= 1.0 for v in means.values())
 
-    def test_maturity_ablation_keeps_openmp_on_top(self):
-        report = experiments.run_maturity_ablation(scales=(0.75, 1.0))
+    def test_maturity_ablation_keeps_openmp_on_top(self, session):
+        report = session.ablation("maturity", scales=(0.75, 1.0))
         assert all(report.data["openmp_in_top3"].values())
-
-    def test_full_grid_size_helper(self):
-        assert experiments.full_grid_size() == 204
 
 
 class TestIo:

@@ -4,9 +4,10 @@ Covers the four layers of the perf architecture:
 
 * the per-cell seeding contract (:func:`repro.codex.engine.cell_seed_sequence`),
 * the shared corpus memo (:func:`repro.corpus.store.default_corpus`),
-* the executor backends and indexed :class:`ResultSet` in
+* runner determinism and the indexed :class:`ResultSet` in
   :mod:`repro.core.runner`, and
-* the process-wide verdict memo and fingerprint-keyed result cache.
+* the process-wide verdict memo and the Session's fingerprint-keyed result
+  cache.
 """
 
 from __future__ import annotations
@@ -16,17 +17,13 @@ import pytest
 
 from repro.analysis import analyzer as analyzer_module
 from repro.analysis.analyzer import SuggestionAnalyzer, clear_verdict_memo
+from repro.api import ExperimentSpec
 from repro.codex.config import CodexConfig, DEFAULT_SEED
 from repro.codex.engine import cell_seed_sequence
 from repro.codex.sampler import SuggestionSampler
-from repro.core.runner import (
-    MIN_CHUNK_CELLS,
-    EvaluationRunner,
-    ResultSet,
-    default_chunk_size,
-)
+from repro.core.runner import EvaluationRunner, ResultSet
 from repro.corpus.store import default_corpus
-from repro.harness import experiments
+from repro.dispatch import ShardDriver
 from repro.models.grid import experiment_grid
 from repro.popularity.maturity import MaturityModel
 
@@ -61,18 +58,10 @@ class TestCellSeedSequence:
 
 
 # ---------------------------------------------------------------------------
-# Backend determinism
+# Runner determinism
 # ---------------------------------------------------------------------------
 
 class TestBackendDeterminism:
-    def test_serial_thread_process_identical_full_grid(self, full_results):
-        serial_records = full_results.to_records()
-        for backend, workers in (("thread", 4), ("process", 2)):
-            runner = EvaluationRunner(
-                config=CodexConfig(), seed=DEFAULT_SEED, backend=backend, max_workers=workers
-            )
-            assert runner.run_full_grid().to_records() == serial_records, backend
-
     def test_single_cell_matches_full_grid_value(self, full_results):
         # Any cell evaluated in isolation reproduces its in-grid record.
         cells = experiment_grid()
@@ -91,100 +80,19 @@ class TestBackendDeterminism:
 
     def test_progress_callback_fires_in_submission_order(self):
         cells = experiment_grid(languages=("julia",), kernels=("axpy", "gemv"))
-        for backend in ("serial", "thread"):
-            seen: list[str] = []
-            runner = EvaluationRunner(
-                config=CodexConfig(),
-                seed=DEFAULT_SEED,
-                backend=backend,
-                progress=lambda result: seen.append(result.cell.cell_id),
-            )
-            runner.run_cells(cells)
-            assert seen == [cell.cell_id for cell in cells], backend
+        seen: list[str] = []
+        runner = EvaluationRunner(
+            config=CodexConfig(),
+            seed=DEFAULT_SEED,
+            progress=lambda result: seen.append(result.cell.cell_id),
+        )
+        runner.run_cells(cells)
+        assert seen == [cell.cell_id for cell in cells]
 
     def test_unknown_backend_rejected(self):
+        # The dispatch driver is the one place a backend is chosen.
         with pytest.raises(ValueError):
-            EvaluationRunner(backend="gpu")
-
-    def test_runner_reuses_pool_across_runs(self):
-        with EvaluationRunner(config=CodexConfig(), seed=DEFAULT_SEED, backend="thread") as runner:
-            first = runner.run_language("julia")
-            executor = runner._executor
-            assert executor is not None
-            second = runner.run_language("julia")
-            assert runner._executor is executor
-            assert first.to_records() == second.to_records()
-        assert runner._executor is None
-        runner.close()  # idempotent
-
-    def test_process_backend_rejects_custom_evaluator(self, evaluator):
-        with pytest.raises(ValueError):
-            EvaluationRunner(backend="process", evaluator=evaluator)
-
-
-# ---------------------------------------------------------------------------
-# Parallel dispatch policy: the process backend must at least break even
-# ---------------------------------------------------------------------------
-
-class TestDispatchPolicy:
-    def test_default_chunk_size_targets_two_chunks_per_worker(self):
-        # ~2 chunks per worker: enough straggler rebalancing without paying
-        # per-chunk IPC comparable to the work (the old 4-chunks-per-worker
-        # policy put the stock 204-cell grid at 7-cell chunks, where the
-        # process backend lost to serial outright).
-        assert default_chunk_size(204, 8) == 13
-        assert default_chunk_size(204, 1) == 102
-        assert default_chunk_size(1000, 4) == 125
-
-    def test_default_chunk_size_never_cuts_confetti(self):
-        # Below MIN_CHUNK_CELLS the dispatch overhead dominates; small grids
-        # prefer idle workers over finer chunks.
-        assert default_chunk_size(48, 4) == MIN_CHUNK_CELLS
-        assert default_chunk_size(3, 8) == MIN_CHUNK_CELLS
-        assert all(
-            default_chunk_size(n, w) >= MIN_CHUNK_CELLS
-            for n in (1, 10, 100, 1000)
-            for w in (1, 2, 8)
-        )
-
-    def test_single_worker_process_backend_runs_in_process(self):
-        # A one-worker subprocess pool is serial evaluation plus fork and
-        # IPC overhead — strictly slower than the calling thread.  On hosts
-        # where the pool would resolve to a single worker the process
-        # backend therefore evaluates in-process (byte-identical by the
-        # determinism contract), which is what guarantees it breaks even
-        # with serial on the stock grid instead of losing ~20% to overhead.
-        runner = EvaluationRunner(
-            config=CodexConfig(), seed=DEFAULT_SEED, backend="process", max_workers=1
-        )
-        results = runner.run_language("julia")
-        assert runner._executor is None  # no pool was ever spawned
-        serial = EvaluationRunner(config=CodexConfig(), seed=DEFAULT_SEED).run_language("julia")
-        assert results.to_records() == serial.to_records()
-
-    def test_single_worker_process_backend_still_counts_work(self, tmp_path):
-        # The in-process shortcut must keep the counter contract: sandbox
-        # executions and verdict-store hits are attributed to the runner
-        # exactly as the pool path attributes worker deltas.
-        cells = experiment_grid(languages=("python",), kernels=("axpy",))
-        clear_verdict_memo()
-        try:
-            cold = EvaluationRunner(
-                config=CodexConfig(), seed=DEFAULT_SEED, backend="process",
-                max_workers=1, verdict_store=tmp_path / "store",
-            )
-            cold_records = cold.run_cells(cells).to_records()
-            assert cold.sandbox_executions > 0
-            clear_verdict_memo()
-            warm = EvaluationRunner(
-                config=CodexConfig(), seed=DEFAULT_SEED, backend="process",
-                max_workers=1, verdict_store=tmp_path / "store",
-            )
-            assert warm.run_cells(cells).to_records() == cold_records
-            assert warm.sandbox_executions == 0
-            assert warm.store_hits > 0
-        finally:
-            clear_verdict_memo()
+            ShardDriver(ExperimentSpec(), backend="thread")
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +191,7 @@ class TestVerdictMemo:
 
 
 # ---------------------------------------------------------------------------
-# Corpus memo and fingerprint-keyed result cache
+# Corpus memo and the Session's fingerprint-keyed result cache
 # ---------------------------------------------------------------------------
 
 class TestCacheLayers:
@@ -299,40 +207,39 @@ class TestCacheLayers:
         assert CodexConfig(maturity=MaturityModel(model_weight=0.31)).fingerprint() != \
             CodexConfig().fingerprint()
 
-    def test_equal_configs_share_cached_results(self):
-        first = experiments.run_language_results("julia", config=CodexConfig())
-        second = experiments.run_language_results("julia", config=CodexConfig())
-        default = experiments.run_language_results("julia")
+    def test_equal_configs_share_cached_results(self, session):
+        first = session.language_results("julia", config=CodexConfig())
+        second = session.language_results("julia", config=CodexConfig())
+        default = session.language_results("julia")
         assert first is second is default
 
-    def test_clear_result_cache_forces_reevaluation(self):
-        first = experiments.run_language_results("julia")
-        experiments.clear_result_cache()
-        second = experiments.run_language_results("julia")
+    def test_clear_result_cache_forces_reevaluation(self, session):
+        first = session.language_results("julia")
+        session.clear_cache()
+        second = session.language_results("julia")
         assert first is not second
         assert first.to_records() == second.to_records()
 
-    def test_ablation_points_reuse_default_run(self):
-        default_cpp = experiments.run_language_results("cpp")
+    def test_ablation_points_reuse_default_run(self, session):
+        default_cpp = session.language_results("cpp")
         # Maturity scale 1.0 and suggestion budget 10 fingerprint to the
         # default config, so neither ablation re-evaluates that point.
-        scaled = experiments.run_language_results(
+        scaled = session.language_results(
             "cpp", config=CodexConfig(maturity=MaturityModel(model_weight=0.62 * 1.0))
         )
-        budget10 = experiments.run_language_results("cpp", config=CodexConfig(max_suggestions=10))
+        budget10 = session.language_results("cpp", config=CodexConfig(max_suggestions=10))
         assert scaled is default_cpp
         assert budget10 is default_cpp
 
-    def test_result_cache_is_lru_bounded(self):
-        from repro.harness.experiments import _RESULT_CACHE, _RESULT_CACHE_MAX, _cache_put
+    def test_result_cache_is_lru_bounded(self, session):
+        limit = session._cache_max
+        for i in range(limit + 5):
+            session._cache_put((i, "x", "f"), ResultSet(seed=i))
+        assert len(session._cache) == limit
+        assert (0, "x", "f") not in session._cache
+        assert (limit + 4, "x", "f") in session._cache
 
-        for i in range(_RESULT_CACHE_MAX + 5):
-            _cache_put((i, "x", "f"), ResultSet(seed=i))
-        assert len(_RESULT_CACHE) == _RESULT_CACHE_MAX
-        assert (0, "x", "f") not in _RESULT_CACHE
-        assert (_RESULT_CACHE_MAX + 4, "x", "f") in _RESULT_CACHE
-
-    def test_run_everything_evaluates_each_cell_once_per_fingerprint(self, monkeypatch):
+    def test_run_everything_evaluates_each_cell_once_per_fingerprint(self, session, monkeypatch):
         evaluated: list[tuple[str, str]] = []
         original = EvaluationRunner.run_cells
 
@@ -342,5 +249,5 @@ class TestCacheLayers:
             return original(self, cells)
 
         monkeypatch.setattr(EvaluationRunner, "run_cells", counting_run_cells)
-        experiments.run_everything(seed=DEFAULT_SEED)
+        session.run_everything(seed=DEFAULT_SEED)
         assert len(evaluated) == len(set(evaluated)), "a (fingerprint, cell) pair ran twice"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -150,6 +151,45 @@ class TestFakeRuntimeContext:
         assert "pycuda" not in sys.modules or not sys.modules["pycuda"].__name__.startswith(
             "repro.sandbox"
         ) is False or True  # restored or absent
+
+    def test_concurrent_contexts_do_not_uninstall_each_other(self, monkeypatch):
+        # A enters, B enters, A exits: B must still see its fake cupy.  B
+        # signals "arrived" once it reaches the runtime lock (or, without a
+        # lock, once inside the context), so A exits only after B is on its
+        # way in; the timeouts are hang guards, never part of the ordering.
+        from repro.sandbox import executor
+
+        real_lock = threading.RLock()
+        b_arrived, a_exited = threading.Event(), threading.Event()
+        b_thread: list[threading.Thread] = []
+        seen: list[object] = []
+
+        class SignallingLock:
+            def __enter__(self):
+                if b_thread and threading.current_thread() is b_thread[0]:
+                    b_arrived.set()
+                return real_lock.__enter__()
+
+            def __exit__(self, *exc_info):
+                return real_lock.__exit__(*exc_info)
+
+        monkeypatch.setattr(executor, "_RUNTIME_LOCK", SignallingLock(), raising=False)
+
+        def b_body():
+            with fake_runtime():
+                b_arrived.set()
+                assert a_exited.wait(timeout=30)
+                seen.append(sys.modules.get("cupy"))
+
+        with fake_runtime():
+            b_thread.append(threading.Thread(target=b_body))
+            b_thread[0].start()
+            assert b_arrived.wait(timeout=30)
+        a_exited.set()
+        b_thread[0].join(timeout=30)
+        assert not b_thread[0].is_alive()
+        assert seen == [fake_cupy]
+        assert sys.modules.get("cupy") is not fake_cupy
 
 
 class TestSandboxTasks:

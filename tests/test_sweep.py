@@ -147,7 +147,7 @@ class TestDegenerateAndInvalid:
 
 class TestSessionSweepSeeds:
     def test_sweep_seeds_matches_manual_summary(self):
-        with Session(backend="serial") as session:
+        with Session() as session:
             summary = session.sweep_seeds([3, 5], languages=["julia"], n_resamples=100)
             per_seed = session.sweep([3, 5], languages=["julia"])
         manual = summarize_sweep(per_seed, n_resamples=100)
@@ -157,7 +157,7 @@ class TestSessionSweepSeeds:
         assert len(summary.cells) == 24
 
     def test_single_seed_sweep_matches_plain_run(self):
-        with Session(backend="serial") as session:
+        with Session() as session:
             summary = session.sweep_seeds([9], languages=["julia"])
             plain = session.language_results("julia", seed=9)
         for result in plain:

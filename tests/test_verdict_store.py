@@ -24,7 +24,7 @@ from repro.analysis import store as store_module
 from repro.analysis.analyzer import SuggestionAnalyzer, clear_verdict_memo
 from repro.analysis.store import VerdictStore, default_store_path
 from repro.analysis.verdict import SuggestionVerdict
-from repro.api import Session
+from repro.api import ExperimentSpec, Session, ShardDriver
 from repro.codex.config import DEFAULT_SEED
 from repro.sandbox import (
     evaluate_python_suggestion,
@@ -415,25 +415,26 @@ class TestWarmStoreRuns:
             clear_verdict_memo()
 
     def test_process_backend_run_everything_warm_rerun(self, tmp_path):
+        # Dispatch worker processes share one on-disk store: a cold drive
+        # executes the sandbox, a warm one (fresh memo, as a new process
+        # would have) serves every verdict from disk.
+        spec = ExperimentSpec(seeds=(DEFAULT_SEED,))
         store_dir = tmp_path / "store"
         clear_verdict_memo()
         try:
-            with Session(
-                seed=DEFAULT_SEED, backend="process", max_workers=2,
-                verdict_store=store_dir,
-            ) as cold:
-                cold.run_everything()
-                cold_records = cold.full_results().to_records()
-                assert cold.sandbox_executions > 0
+            cold = ShardDriver(
+                spec, backend="process", max_workers=2, verdict_store=store_dir
+            ).run()
+            assert cold.complete
+            assert cold.sandbox_executions > 0
             clear_verdict_memo()
-            with Session(
-                seed=DEFAULT_SEED, backend="process", max_workers=2,
-                verdict_store=store_dir,
-            ) as warm:
-                warm.run_everything()
-                assert warm.full_results().to_records() == cold_records
-                assert warm.sandbox_executions == 0
-                assert warm.store_hits > 0
+            warm = ShardDriver(
+                spec, backend="process", max_workers=2, verdict_store=store_dir
+            ).run()
+            assert warm.complete
+            assert warm.result().to_records() == cold.result().to_records()
+            assert warm.sandbox_executions == 0
+            assert warm.verdict_store_hits > 0
         finally:
             clear_verdict_memo()
 
